@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -40,18 +42,42 @@ type SubtaskPayload struct {
 // NewTrainingApp returns the client-side application (the TensorFlow
 // stand-in) for a boinc.Client: it decodes the model spec, parameter copy
 // and data shard from the downloaded files, trains, and returns the
-// compressed updated parameters.
+// compressed updated parameters. The app keeps one Executor for as long
+// as the downloaded model file stays byte-identical, so the executor's
+// recycled scratch serves every subtask of the job instead of being
+// rebuilt per subtask; Executor reuse is observably stateless, so the
+// uploads are those of a fresh app per subtask.
 func NewTrainingApp(cfg JobConfig) boinc.App {
+	var (
+		mu    sync.Mutex
+		model []byte
+		exec  *Executor
+	)
+	executorFor := func(specBytes []byte) (*Executor, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if exec != nil && bytes.Equal(specBytes, model) {
+			return exec, nil
+		}
+		spec, err := DecodeSpec(specBytes)
+		if err != nil {
+			return nil, err
+		}
+		builder, err := spec.Builder()
+		if err != nil {
+			return nil, err
+		}
+		execCfg := cfg
+		execCfg.Builder = builder
+		model, exec = bytes.Clone(specBytes), NewExecutor(execCfg)
+		return exec, nil
+	}
 	return boinc.AppFunc(func(asn boinc.Assignment, inputs map[string][]byte) ([]byte, error) {
 		var p SubtaskPayload
 		if err := json.Unmarshal(asn.Payload, &p); err != nil {
 			return nil, fmt.Errorf("core: bad payload: %w", err)
 		}
-		spec, err := DecodeSpec(inputs[p.ModelFile])
-		if err != nil {
-			return nil, err
-		}
-		builder, err := spec.Builder()
+		exec, err := executorFor(inputs[p.ModelFile])
 		if err != nil {
 			return nil, err
 		}
@@ -63,9 +89,6 @@ func NewTrainingApp(cfg JobConfig) boinc.App {
 		if err != nil {
 			return nil, fmt.Errorf("core: decode shard: %w", err)
 		}
-		execCfg := cfg
-		execCfg.Builder = builder
-		exec := NewExecutor(execCfg)
 		updated, _ := exec.Run(params, shard, cfg.Seed^int64(p.Epoch)<<20^int64(p.Shard))
 		return wire.EncodeParams(updated)
 	})
@@ -82,6 +105,7 @@ type Distributed struct {
 	server      *boinc.Server
 	group       *ps.Group
 	eval        *Evaluator
+	paramCount  int // length of every parameter vector the job accepts
 	replication int
 	start       time.Time
 
@@ -220,6 +244,7 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 			}
 		}
 	}
+	d.paramCount = nn.NewNetwork(cfg.Builder).ParamCount()
 	d.tracker = ps.NewEpochTrackerAt(cfg.Subtasks, startEpoch)
 	if d.obsCkptEp != nil && d.ckptEpoch > 0 {
 		d.obsCkptEp.Set(float64(d.ckptEpoch))
@@ -363,6 +388,15 @@ func (d *Distributed) Result() (RunResult, error) {
 	return d.result, d.failed
 }
 
+// neverAbandon is every training workunit's error budget: an epoch
+// closes only once all its shards are assimilated, so a workunit the
+// scheduler gave up on would stall the job for good. A bounded budget
+// does run out: while no client meets the reliability floor, the floor
+// gates nothing, so a client uploading garbage that connects before any
+// honest one takes every retry. The simulator never abandons a subtask
+// either.
+const neverAbandon = 1 << 20
+
 // generateEpoch publishes the epoch's parameter snapshot and queues one
 // workunit per shard. Callers must not hold d.mu.
 func (d *Distributed) generateEpoch(epoch int) error {
@@ -395,6 +429,7 @@ func (d *Distributed) generateEpoch(epoch int) error {
 			BlobFiles:   d.blobRefs("model.json", pf, shardFileName(i)),
 			Payload:     payload,
 			Replication: d.replication,
+			MaxErrors:   neverAbandon,
 		})
 	}
 	return nil
@@ -402,13 +437,20 @@ func (d *Distributed) generateEpoch(epoch int) error {
 
 // validate is the BOINC validator hook: an upload is acceptable if it
 // decodes to a parameter vector of the right length with finite values.
+// The length is checked against the header before anything is
+// allocated, and a NaN or Inf would poison the parameter server for good
+// (α·w + (1−α)·NaN is NaN), so neither reaches assimilate.
 func (d *Distributed) validate(wu *boinc.Workunit, output []byte) bool {
-	params, err := wire.DecodeParams(output)
+	params, err := wire.DecodeParamsN(output, d.paramCount)
 	if err != nil {
 		return false
 	}
-	want := nn.NewNetwork(d.cfg.Builder).ParamCount()
-	return len(params) == want
+	for _, v := range params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // assimilate is the BOINC assimilator hook: VC-ASGD update, validation
@@ -419,7 +461,7 @@ func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte) {
 		d.fail(fmt.Errorf("core: assimilate payload: %w", err))
 		return
 	}
-	params, err := wire.DecodeParams(output)
+	params, err := wire.DecodeParamsN(output, d.paramCount)
 	if err != nil {
 		d.fail(fmt.Errorf("core: assimilate decode: %w", err))
 		return

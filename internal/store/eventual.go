@@ -57,6 +57,15 @@ func (e *Eventual) replicaLag(i int) int {
 // Get implements Store: it reads from a random replica, which may serve a
 // version up to its lag behind the primary.
 func (e *Eventual) Get(key string) ([]byte, uint64, error) {
+	ent, err := e.read(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return append([]byte(nil), ent.value...), ent.version, nil
+}
+
+// read returns the entry a random replica serves for key.
+func (e *Eventual) read(key string) (entry, error) {
 	e.rngMu.Lock()
 	lag := e.replicaLag(e.rng.Intn(e.ReplicaCount))
 	e.rngMu.Unlock()
@@ -75,7 +84,7 @@ func (e *Eventual) Get(key string) ([]byte, uint64, error) {
 	}
 	e.mu.RUnlock()
 	if !ok {
-		return nil, 0, ErrNotFound
+		return entry{}, ErrNotFound
 	}
 	e.counter.add(func(s *Stats) {
 		s.Gets++
@@ -85,7 +94,7 @@ func (e *Eventual) Get(key string) ([]byte, uint64, error) {
 		s.BytesRead += uint64(len(ent.value))
 		s.ModeledTime += e.Profile.Cost(len(ent.value))
 	})
-	return append([]byte(nil), ent.value...), ent.version, nil
+	return ent, nil
 }
 
 // Set implements Store. The write commits on the primary immediately;
@@ -95,45 +104,50 @@ func (e *Eventual) Set(key string, value []byte) error {
 	return nil
 }
 
-// commit appends a new version. If base is non-nil it is the version the
-// caller's read observed; a mismatch with the current head means a
-// concurrent commit slipped in between and is being clobbered — a lost
-// update.
-func (e *Eventual) commit(key string, value []byte, base *uint64) {
+// commit appends a new version. base is the entry an Update's read
+// observed, or nil for a blind Set, which builds on the head. A commit
+// on a stale base discards the effect of the writes between base and
+// the head. Each entry records its lineage (how many writes its value
+// carries), so the commit loses exactly head.lineage − base.lineage
+// updates and a value's lineage plus LostUpdates always equals the
+// writes made. Counting head − base versions instead would count some
+// lost writes twice. The difference is negative
+// only when a lagging read resurrects a value that carried more than
+// the head; the total never drops below zero.
+func (e *Eventual) commit(key string, value []byte, base *entry) {
 	v := append([]byte(nil), value...)
-	var lost bool
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	hist := e.history[key]
-	var cur uint64
+	var head entry
 	if len(hist) > 0 {
-		cur = hist[len(hist)-1].version
+		head = hist[len(hist)-1]
 	}
-	if base != nil && cur != *base {
-		lost = true
+	from := &head
+	if base != nil {
+		from = base
 	}
-	hist = append(hist, entry{value: v, version: cur + 1})
+	hist = append(hist, entry{value: v, version: head.version + 1, lineage: from.lineage + 1})
 	if max := e.ReplicaLagOps + 1; len(hist) > max {
 		hist = hist[len(hist)-max:]
 	}
 	e.history[key] = hist
-	e.mu.Unlock()
+	// Accounted under e.mu so the running total follows commit order.
 	e.counter.add(func(s *Stats) {
 		s.Sets++
 		s.BytesWritten += uint64(len(v))
-		if lost {
-			s.LostUpdates++
-		}
+		s.LostUpdates += head.lineage - from.lineage // two's complement: may subtract
 		s.ModeledTime += e.Profile.Cost(len(v))
 	})
 }
 
 // Update implements Store with optimistic, lossy read-modify-write.
 func (e *Eventual) Update(key string, f func(old []byte) []byte) error {
-	old, base, err := e.Get(key)
+	base, err := e.read(key)
 	if err != nil && err != ErrNotFound {
 		return err
 	}
-	e.commit(key, f(old), &base)
+	e.commit(key, f(append([]byte(nil), base.value...)), &base)
 	e.counter.add(func(s *Stats) { s.Updates++ })
 	return nil
 }

@@ -54,7 +54,7 @@ type Stats struct {
 	Gets, Sets, Updates uint64
 	BytesRead           uint64
 	BytesWritten        uint64
-	LostUpdates         uint64 // RMW cycles whose write clobbered a concurrent write
+	LostUpdates         uint64 // RMW cycles whose effect a concurrent write discarded
 	StaleReads          uint64 // reads served from a lagging replica
 	ModeledTime         time.Duration
 }
@@ -89,6 +89,9 @@ var (
 type entry struct {
 	value   []byte
 	version uint64
+	// lineage counts the writes whose effect value still carries (the
+	// eventual store's lost-update accounting; see Eventual.commit).
+	lineage uint64
 }
 
 // counter is a small mutex-protected Stats accumulator shared by backends.

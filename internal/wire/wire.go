@@ -119,6 +119,18 @@ func EncodeParamsTo(w io.Writer, params []float64) error {
 
 // DecodeParams reverses EncodeParams, verifying the checksum.
 func DecodeParams(blob []byte) ([]float64, error) {
+	return decodeParams(blob, -1)
+}
+
+// DecodeParamsN is DecodeParams for a vector whose length the caller
+// already knows, such as an upload from an untrusted client: a header
+// claiming any other length is rejected before anything is allocated.
+func DecodeParamsN(blob []byte, want int) ([]float64, error) {
+	return decodeParams(blob, want)
+}
+
+// decodeParams decodes blob; want >= 0 pins the vector length.
+func decodeParams(blob []byte, want int) ([]float64, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("wire: blob too short (%d bytes)", len(blob))
 	}
@@ -126,6 +138,9 @@ func DecodeParams(blob []byte) ([]float64, error) {
 		return nil, fmt.Errorf("wire: bad magic %#x", m)
 	}
 	n := int(binary.LittleEndian.Uint32(blob[4:]))
+	if want >= 0 && n != want {
+		return nil, fmt.Errorf("wire: header claims %d parameters, want %d", n, want)
+	}
 	zr, err := getReader(bytes.NewReader(blob[8:]))
 	if err != nil {
 		return nil, fmt.Errorf("wire: open gzip: %w", err)

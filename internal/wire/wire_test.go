@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +147,31 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDecodeParamsNRejectsLengthBeforeAllocating(t *testing.T) {
+	blob, err := EncodeParams([]float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := DecodeParamsN(blob, 3); err != nil || len(back) != 3 {
+		t.Fatalf("DecodeParamsN(3) = %v, %v", back, err)
+	}
+	if _, err := DecodeParamsN(blob, 4); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	// A rewritten header claiming 2^32-1 parameters must be refused
+	// without allocating the 32 GiB it names.
+	evil := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(evil[4:], math.MaxUint32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeParamsN(evil, 3); err == nil {
+		t.Fatal("rewritten header accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the header allocated %d bytes", grew)
 	}
 }
