@@ -401,6 +401,28 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
+// TestServiceEmptyBlob pins that an empty blob, which parseRange gives
+// no byte range, still serves whole and refuses any Range request.
+func TestServiceEmptyBlob(t *testing.T) {
+	svc := NewService(NewMemStore(), 4)
+	d, _ := svc.Store().Put(nil)
+	ts := newTestServer(t, svc)
+	got, err := NewFetcher(ts.URL, nil).Fetch(context.Background(), d)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("Fetch(empty) = %d bytes, %v", len(got), err)
+	}
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/blob/"+d, nil)
+	req.Header.Set("Range", "bytes=0-")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+		t.Fatalf("ranged GET of an empty blob: status %d, want 416", resp.StatusCode)
+	}
+}
+
 func TestFetchConcurrent(t *testing.T) {
 	svc := NewService(NewMemStore(), 8)
 	ts := newTestServer(t, svc)

@@ -159,8 +159,12 @@ func (s *Service) outcome(label string) {
 
 // parseRange parses a "bytes=N-" or "bytes=N-M" header against size.
 // An empty header means the whole blob. Unsatisfiable or malformed
-// ranges return ok=false.
+// ranges return ok=false, and so does an empty blob, which holds no
+// byte range at all.
 func parseRange(h string, size int64) (start, end int64, ok bool) {
+	if size <= 0 {
+		return 0, 0, false
+	}
 	if h == "" {
 		return 0, size - 1, true
 	}
@@ -223,7 +227,10 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	size := int64(len(data))
-	start, end, ok := parseRange(r.Header.Get("Range"), size)
+	start, end, ok := int64(0), size-1, true // no Range: the whole blob, even an empty one
+	if rng := r.Header.Get("Range"); rng != "" {
+		start, end, ok = parseRange(rng, size)
+	}
 	if !ok {
 		s.outcome("bad")
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))

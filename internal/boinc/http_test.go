@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -186,6 +187,34 @@ func TestHTTPUploadUnknownResult(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestHTTPUploadUnknownResultSkipsBody pins that an upload naming an
+// unknown result is refused without reading a byte of its body.
+func TestHTTPUploadUnknownResultSkipsBody(t *testing.T) {
+	srv := NewServer(DefaultSchedulerConfig(), nil, nil)
+	body := &countingReader{r: bytes.NewReader(make([]byte, 1<<20))}
+	req := httptest.NewRequest(http.MethodPost, "/upload?result=42", body)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404", rec.Code)
+	}
+	if body.n != 0 {
+		t.Fatalf("read %d body bytes for an unknown result, want 0", body.n)
 	}
 }
 

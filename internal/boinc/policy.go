@@ -71,6 +71,9 @@ type PolicyView struct {
 	// ReliabilityFloor is the scheduler's current retry gate.
 	ReliabilityFloor float64
 	// Candidates lists the assignable workunits, in pending-queue order.
+	// For the cache-ranked built-ins (paper, fifo, locality-first) it is
+	// a FIFO prefix of the eligible workunits that is sufficient for the
+	// top max; every other policy sees every eligible workunit.
 	Candidates []Candidate
 }
 
@@ -148,7 +151,22 @@ type Scored struct {
 	// Label is the policy name; empty renders as "scored".
 	Label string
 	Terms []Term
+	// rank is a built-in policy's declaration that its terms order
+	// candidates by (CacheScore desc, Pos asc) alone, which lets the
+	// scheduler end its candidate scan early. The zero value claims
+	// nothing, so user-built policies always see the full view.
+	rank cacheRank
 }
+
+// cacheRank is how a built-in Scored policy ranks its candidates.
+type cacheRank uint8
+
+const (
+	rankAny         cacheRank = iota // unknown: needs every candidate
+	rankFIFO                         // Pos alone
+	rankCache                        // CacheScore desc, then Pos
+	rankStickyCache                  // rankCache when sticky affinity is on, else rankFIFO
+)
 
 // Name implements Policy.
 func (p *Scored) Name() string {
@@ -236,7 +254,7 @@ func selectTopK(cands []Candidate, k int, score func(Candidate) float64) []int64
 // input files the client caches (most cached files first) when sticky
 // affinity is on, then FIFO.
 func paperPolicy() *Scored {
-	return &Scored{Label: "paper", Terms: []Term{{
+	return &Scored{Label: "paper", rank: rankStickyCache, Terms: []Term{{
 		Name:   "sticky-cache",
 		Weight: 1,
 		Score: func(view PolicyView, _ ClientInfo, c Candidate) float64 {
@@ -302,12 +320,12 @@ func init() {
 	noArgs("paper", func() Policy { return paperPolicy() })
 	noArgs("fifo", func() Policy {
 		// No terms: every score is 0 and the FIFO tie-break decides.
-		return &Scored{Label: "fifo"}
+		return &Scored{Label: "fifo", rank: rankFIFO}
 	})
 	noArgs("locality-first", func() Policy {
 		// Sticky-cache greedy even when the config disables the paper
 		// policy's affinity preference: locality is the whole policy.
-		return &Scored{Label: "locality-first", Terms: []Term{{
+		return &Scored{Label: "locality-first", rank: rankCache, Terms: []Term{{
 			Name:   "cache",
 			Weight: 1,
 			Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {

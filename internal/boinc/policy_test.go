@@ -167,11 +167,12 @@ func conformGone(t *testing.T, name string) {
 	}
 }
 
-// referencePaperSelection reimplements the pre-policy-API RequestWork
-// selection (full stable sort over every eligible candidate) directly
-// against the scheduler's state. The paper policy must match it
-// workunit-for-workunit: this is the byte-identical contract.
-func referencePaperSelection(s *Scheduler, clientID string, max int) []int64 {
+// referenceSelection reimplements the pre-policy-API RequestWork
+// selection (full stable sort over every eligible candidate, scored by
+// score) directly against the scheduler's state. A cache-ranked policy
+// must match it workunit-for-workunit however early the scheduler ends
+// its scan: this is the byte-identical contract.
+func referenceSelection(s *Scheduler, clientID string, max int, score func(*clientState, *Workunit) int) []int64 {
 	c := s.peek(clientID)
 	if c == nil {
 		c = &clientState{id: clientID, reliability: 1, cached: map[string]bool{}}
@@ -198,11 +199,7 @@ func referencePaperSelection(s *Scheduler, clientID string, max int) []int64 {
 			continue
 		}
 		seen[id] = true
-		sc := 0
-		if s.cfg.StickyAffinity {
-			sc = cacheScore(c, wu)
-		}
-		cands = append(cands, cand{pos: pos, id: id, score: sc})
+		cands = append(cands, cand{pos: pos, id: id, score: score(c, wu)})
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
@@ -220,31 +217,77 @@ func referencePaperSelection(s *Scheduler, clientID string, max int) []int64 {
 	return out
 }
 
+// referenceScore is the full-scan ranking of a cache-ranked built-in
+// policy under the given sticky-affinity setting.
+func referenceScore(policy string, sticky bool) func(*clientState, *Workunit) int {
+	if policy == "fifo" || (policy == "paper" && !sticky) {
+		return func(*clientState, *Workunit) int { return 0 }
+	}
+	return cacheScore
+}
+
+// referenceInputs gives workunit i of the reference workload its input
+// files: some have none, some list one file twice (scoring 2 for a
+// single cached file), the rest list two distinct files.
+func referenceInputs(i int) []string {
+	switch {
+	case i%5 == 0:
+		return nil
+	case i%7 == 3:
+		f := fmt.Sprintf("f%d", i%4)
+		return []string{f, f}
+	default:
+		return []string{fmt.Sprintf("f%d", i%4), fmt.Sprintf("g%d", i%3)}
+	}
+}
+
 // TestPaperPolicyMatchesReference drives randomized workloads and checks
-// every RequestWork against the original algorithm's selection.
+// every RequestWork of each cache-ranked policy (paper, fifo,
+// locality-first), with sticky affinity on and off, against the
+// full-scan reference selection. Backlogs run far larger than max,
+// fresh clients ask with empty caches, workunits arrive mid-run with
+// more input files than any before, and caches also grow outside
+// assignment.
 func TestPaperPolicyMatchesReference(t *testing.T) {
-	f := func(ops []uint8) bool {
-		cfg := DefaultSchedulerConfig()
-		cfg.DefaultTimeout = 10
-		cfg.DefaultMaxErrors = 1 << 20
-		s := NewScheduler(cfg)
-		for i := 0; i < 12; i++ {
+	for _, name := range []string{"paper", "fifo", "locality-first"} {
+		for _, sticky := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/sticky=%v", name, sticky), func(t *testing.T) {
+				checkReference(t, name, sticky)
+			})
+		}
+	}
+}
+
+func checkReference(t *testing.T, name string, sticky bool) {
+	score := referenceScore(name, sticky)
+	f := func(backlog uint8, ops []uint8) bool {
+		s := newPolicyScheduler(t, name, DefaultSchedulerConfig().ReliabilityFloor)
+		s.cfg.DefaultTimeout = 10
+		s.cfg.DefaultMaxErrors = 1 << 20
+		s.cfg.StickyAffinity = sticky
+		n := 12 + int(backlog)
+		for i := 0; i < n; i++ {
 			s.AddWorkunit(Workunit{
 				Name:        fmt.Sprintf("wu%d", i),
-				InputFiles:  []string{fmt.Sprintf("f%d", i%4), fmt.Sprintf("g%d", i%3)},
+				InputFiles:  referenceInputs(i),
 				Replication: 1 + i%2,
 			})
 		}
 		clients := []string{"a", "b", "c"}
+		fresh := 0
 		now := 0.0
 		var open []int64
 		for _, op := range ops {
 			now += float64(op%5) / 2
 			client := clients[int(op)%len(clients)]
-			switch op % 4 {
+			switch op % 6 {
 			case 0, 1:
+				if op%7 == 6 {
+					fresh++
+					client = fmt.Sprintf("new%d", fresh) // empty cache
+				}
 				max := 1 + int(op)%3
-				want := referencePaperSelection(s, client, max)
+				want := referenceSelection(s, client, max, score)
 				asns := s.RequestWork(client, now, max)
 				var got []int64
 				for _, a := range asns {
@@ -265,12 +308,48 @@ func TestPaperPolicyMatchesReference(t *testing.T) {
 				}
 			case 3:
 				s.ExpireTimeouts(now)
+			case 4:
+				s.NoteCached(client, fmt.Sprintf("f%d", op%4))
+			case 5:
+				// More input files than any earlier workunit: raises the
+				// scan bound mid-run.
+				n++
+				s.AddWorkunit(Workunit{
+					Name:       fmt.Sprintf("wu%d", n),
+					InputFiles: []string{fmt.Sprintf("f%d", op%4), fmt.Sprintf("g%d", op%3), fmt.Sprintf("h%d", n)},
+				})
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRequestWorkScanStopsEarly pins the stopping rule structurally: on
+// an 8000-workunit backlog with no input files, a cache-ranked policy
+// builds at most one candidate for a one-slot request, while a policy
+// that declares no ranking still sees the whole backlog.
+func TestRequestWorkScanStopsEarly(t *testing.T) {
+	s := NewScheduler(DefaultSchedulerConfig())
+	for i := 0; i < 8000; i++ {
+		s.AddWorkunit(Workunit{Name: fmt.Sprintf("wu%d", i)})
+	}
+	s.NoteCached("warm", "unrelated")
+	for _, client := range []string{"cold", "warm"} {
+		if asns := s.RequestWork(client, 0, 1); len(asns) != 1 {
+			t.Fatalf("%s: got %d assignments, want 1", client, len(asns))
+		}
+		if n := len(s.candBuf); n > 1 {
+			t.Fatalf("%s: RequestWork(max=1) built %d candidates, want at most 1", client, n)
+		}
+	}
+	s.SetPolicy(&Scored{Label: "custom"})
+	pending := s.PendingCount()
+	s.RequestWork("cold", 0, 1)
+	if n := len(s.candBuf); n != pending {
+		t.Fatalf("undeclared policy saw %d candidates, want the full %d", n, pending)
 	}
 }
 

@@ -110,6 +110,10 @@ type Scheduler struct {
 	eligible map[int64]int64
 	candBuf  []Candidate
 	requests int64
+	// maxFiles is the largest len(InputFiles) of any workunit ever
+	// added: no candidate's CacheScore can exceed it, which is what
+	// lets buildView stop scanning for cache-ranked policies.
+	maxFiles int
 	// issuedBuf and eventBuf are per-request scratch for the issued-ID
 	// list and the deferred event batch; both are consumed before
 	// RequestWork returns, so reuse is safe and the hot path stops
@@ -291,6 +295,9 @@ func (s *Scheduler) AddWorkunit(wu Workunit) int64 {
 	// the same scheduling turn in both engines.
 	w.queuedAt = s.lastNow
 	s.wus[wu.ID] = &w
+	if n := len(wu.InputFiles); n > s.maxFiles {
+		s.maxFiles = n
+	}
 	for i := 0; i < wu.Replication; i++ {
 		s.enqueue(wu.ID)
 	}
@@ -353,13 +360,32 @@ func cacheScore(c *clientState, wu *Workunit) int {
 	return n
 }
 
+// scanBound reports whether the active policy ranks candidates by
+// (CacheScore desc, Pos asc) alone and, if so, the highest CacheScore
+// that ranking can see for this client. Once max eligible candidates
+// reach that score, no later candidate can outrank them.
+func (s *Scheduler) scanBound(c *clientState) (bound int, ok bool) {
+	p, _ := s.policy.(*Scored)
+	if p == nil || p.rank == rankAny {
+		return 0, false
+	}
+	if p.rank == rankFIFO || (p.rank == rankStickyCache && !s.cfg.StickyAffinity) || len(c.cached) == 0 {
+		return 0, true
+	}
+	return s.maxFiles, true
+}
+
 // buildView snapshots the workunits the client may legally receive
 // right now: one candidate per pending workunit, minus terminal states,
 // minus replicas the client already holds a copy of, minus retries
-// reserved for reliable clients. The view reuses the scheduler's
+// reserved for reliable clients. For a cache-ranked policy the FIFO
+// scan ends once max candidates reach scanBound, so the view is the
+// prefix that decides the top max. The view reuses the scheduler's
 // candidate scratch buffer and is only valid until the next request.
-func (s *Scheduler) buildView(c *clientState, now float64) PolicyView {
+func (s *Scheduler) buildView(c *clientState, now float64, max int) PolicyView {
 	cands := s.candBuf[:0]
+	bound, early := s.scanBound(c)
+	settled := 0 // candidates at the bound
 	// hasReliableClient is O(clients); resolve it at most once per
 	// request instead of once per gated candidate.
 	reliableKnown, reliableAny := false, false
@@ -383,13 +409,19 @@ func (s *Scheduler) buildView(c *clientState, now float64) PolicyView {
 			}
 		}
 		s.eligible[id] = s.requests
+		score := cacheScore(c, wu)
 		cands = append(cands, Candidate{
 			WUID:       id,
 			Pos:        pos,
-			CacheScore: cacheScore(c, wu),
+			CacheScore: score,
 			Errors:     wu.errors,
 			Timeout:    wu.Timeout,
 		})
+		if early && score >= bound {
+			if settled++; settled == max {
+				break
+			}
+		}
 	}
 	s.candBuf = cands
 	return PolicyView{
@@ -421,7 +453,7 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 	}
 	s.lastNow = now
 	s.requests++
-	view := s.buildView(c, now)
+	view := s.buildView(c, now, max)
 	if len(view.Candidates) == 0 {
 		return nil
 	}
@@ -514,23 +546,26 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 }
 
 // dequeueFirst removes the first queued copy of each given workunit
-// from the pending FIFO (the copy a candidate's Pos pointed at).
+// from the pending FIFO (the copy a candidate's Pos pointed at). Once
+// every copy is removed, the rest of the queue moves in one copy.
 func (s *Scheduler) dequeueFirst(ids []int64) {
 	if len(ids) == 0 {
 		return
 	}
 	remaining := ids
 	kept := s.pending[:0]
-	for _, id := range s.pending {
+	for pos, id := range s.pending {
+		if len(remaining) == 0 {
+			kept = append(kept, s.pending[pos:]...)
+			break
+		}
 		removed := false
-		if len(remaining) > 0 {
-			for i, want := range remaining {
-				if want == id {
-					remaining = append(remaining[:i], remaining[i+1:]...)
-					s.queued[id]--
-					removed = true
-					break
-				}
+		for i, want := range remaining {
+			if want == id {
+				remaining = append(remaining[:i], remaining[i+1:]...)
+				s.queued[id]--
+				removed = true
+				break
 			}
 		}
 		if !removed {

@@ -410,6 +410,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	failed := r.URL.Query().Get("failed") == "1"
+	// Refuse unknown IDs before reading the body, so a stale or hostile
+	// client cannot make the server buffer an upload nobody will use.
+	known := false
+	s.sched.ForResult(resultID, func(sc *Scheduler) { known = sc.Result(resultID) != nil })
+	if !known {
+		http.Error(w, "unknown result", http.StatusNotFound)
+		return
+	}
 	output, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
 	if err != nil {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
@@ -427,16 +435,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// lock while uploads for other shards proceed in parallel.
 	var (
 		wu        *Workunit
-		known     bool
 		canonical bool
 		cerr      error
 	)
 	s.sched.ForResult(resultID, func(sc *Scheduler) {
+		// Results are never forgotten, so the ID found above resolves.
 		res := sc.Result(resultID)
-		if res == nil {
-			return
-		}
-		known = true
 		wu = sc.Workunit(res.WUID)
 		valid := !failed
 		if valid && s.validate != nil {
@@ -444,10 +448,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		_, canonical, cerr = sc.CompleteResult(resultID, valid, s.now())
 	})
-	if !known {
-		http.Error(w, "unknown result", http.StatusNotFound)
-		return
-	}
 	if err := cerr; err != nil {
 		// Late upload for an already-expired result: acknowledged but
 		// ignored, exactly like BOINC discarding post-deadline results.

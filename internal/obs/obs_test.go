@@ -64,6 +64,19 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketsResolveMicroseconds pins the sub-millisecond
+// floor: 90 µs observations (a scheduler RPC) get their own bucket
+// instead of interpolating inside a 0–1 ms one.
+func TestLatencyBucketsResolveMicroseconds(t *testing.T) {
+	h := newHistogram(nil)
+	for i := 0; i < 100; i++ {
+		h.Observe(90e-6)
+	}
+	if p50 := h.Quantile(0.5); p50 <= 50e-6 || p50 > 100e-6 {
+		t.Fatalf("p50 of 90 µs observations = %g s, want in (50 µs, 100 µs]", p50)
+	}
+}
+
 func TestHistogramBucketEdges(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
 	h.Observe(1) // exactly on a bound: upper-inclusive

@@ -25,10 +25,11 @@ import (
 )
 
 // LatencyBuckets are the default histogram bounds, in seconds. They span
-// sub-millisecond RPC handling up to multi-hour virtual-time waits so
-// one bucket layout serves both time bases (wall-clock in real mode,
-// virtual seconds in sim mode).
+// 10 µs RPC handling up to multi-hour virtual-time waits so one bucket
+// layout serves both time bases (wall-clock in real mode, virtual
+// seconds in sim mode).
 var LatencyBuckets = []float64{
+	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10000,

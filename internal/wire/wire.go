@@ -126,8 +126,15 @@ func DecodeParams(blob []byte) ([]float64, error) {
 // already knows, such as an upload from an untrusted client: a header
 // claiming any other length is rejected before anything is allocated.
 func DecodeParamsN(blob []byte, want int) ([]float64, error) {
+	if want < 0 {
+		return nil, fmt.Errorf("wire: negative parameter count %d", want)
+	}
 	return decodeParams(blob, want)
 }
+
+// maxInflate is deflate's largest expansion ratio: one 258-byte match
+// coded in two bits.
+const maxInflate = 1032
 
 // decodeParams decodes blob; want >= 0 pins the vector length.
 func decodeParams(blob []byte, want int) ([]float64, error) {
@@ -140,6 +147,11 @@ func decodeParams(blob []byte, want int) ([]float64, error) {
 	n := int(binary.LittleEndian.Uint32(blob[4:]))
 	if want >= 0 && n != want {
 		return nil, fmt.Errorf("wire: header claims %d parameters, want %d", n, want)
+	}
+	// A body that could not inflate to n values and the checksum is
+	// refused before the vector is allocated.
+	if 8*int64(n)+4 > maxInflate*int64(len(blob)-8) {
+		return nil, fmt.Errorf("wire: %d-byte body cannot hold %d parameters", len(blob)-8, n)
 	}
 	zr, err := getReader(bytes.NewReader(blob[8:]))
 	if err != nil {

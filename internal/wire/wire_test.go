@@ -170,6 +170,14 @@ func TestDecodeParamsNRejectsLengthBeforeAllocating(t *testing.T) {
 	if _, err := DecodeParamsN(evil, 3); err == nil {
 		t.Fatal("rewritten header accepted")
 	}
+	// A negative count must not fall back to trusting the header, and
+	// the unpinned decoder refuses a header its body cannot hold.
+	if _, err := DecodeParamsN(evil, -1); err == nil {
+		t.Fatal("negative count accepted")
+	}
+	if _, err := DecodeParams(evil); err == nil {
+		t.Fatal("header larger than the body can inflate to accepted")
+	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("rejecting the header allocated %d bytes", grew)
